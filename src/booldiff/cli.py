@@ -1,16 +1,15 @@
-"""Command-line front end. Exit codes: 0 ok, 2 parse, 3 dimension, 4 capacity."""
+"""Command-line front end. Exit codes: 0 ok, 2 parse or domain error, 3 dimension, 4 capacity."""
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import CapacityError, DimensionError, DomainError, ParseError
 from .functions import format_bf, parse_bf
 from .gf2 import format_matrix, parse_matrix
-from .lattice import index_of, n_max
+from .lattice import index_of
 from .operators import (
     Basis,
     apply_operator,
@@ -23,16 +22,7 @@ from .operators import (
     parse_digraph,
     sorted_edges,
 )
-from .products import DIRECT_CAPS, jordan_digraph, multiplication_table, product
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved run settings shared by the command handlers."""
-
-    n_cap: int = field(default_factory=n_max)
-    direct_caps: dict = field(default_factory=lambda: dict(DIRECT_CAPS))
-    route: str = "auto"
+from .products import jordan_digraph, multiplication_table, product
 
 
 def _read(path: str) -> str:
@@ -46,7 +36,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _basis_arg(parser: argparse.ArgumentParser, required: bool = True) -> None:

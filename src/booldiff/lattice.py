@@ -96,18 +96,6 @@ def sym_diff(a: int, b: int) -> int:
     return a ^ b
 
 
-def union(a: int, b: int) -> int:
-    return a | b
-
-
-def intersection(a: int, b: int) -> int:
-    return a & b
-
-
-def difference(a: int, b: int) -> int:
-    return a & ~b
-
-
 def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 

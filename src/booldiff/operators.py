@@ -13,8 +13,10 @@ Each basis is a linear isomorphism between digraphs (as GF(2) edge grids)
 and 2^n x 2^n matrices acting on truth vectors in the point basis; both
 directions are closed-form subset sums and invert each other exactly.
 
-Internally all grids are mask-indexed (row c, bit position d); card-lex
-indexing appears only on the public Gf2Matrix boundary and in text formats.
+A ``Digraph`` stores only its mask-indexed row grid ``rows`` (bit d of row c
+is the edge (c, d)), which is also the layout every transform here works on;
+the edge set ``edges`` is derived from it on demand.  Card-lex indexing
+appears only on the public Gf2Matrix boundary and in text formats.
 """
 
 from __future__ import annotations
@@ -59,33 +61,59 @@ _SHIFT_BASES = (Basis.MS, Basis.XS)
 
 @dataclass(frozen=True)
 class Digraph:
-    """A set of edges on P[n]; when plotted, the edge (c, d) runs from d to c."""
+    """A set of edges on P[n]; when plotted, the edge (c, d) runs from d to c.
+
+    ``rows`` is the mask-indexed grid: bit d of ``rows[c]`` says whether
+    (c, d) is an edge.  Build from an edge list with ``from_edges``.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
         validate_dimension(self.n)
-        for c, d in self.edges:
-            validate_subset(c, self.n)
-            validate_subset(d, self.n)
+        size = 1 << self.n
+        if not isinstance(self.rows, tuple) or len(self.rows) != size:
+            raise DomainError(f"a digraph on [{self.n}] needs a tuple of {size} rows")
+        for row in self.rows:
+            if not isinstance(row, int) or row < 0 or row >> size:
+                raise DomainError(f"row {row!r} is not a set of subsets of [{self.n}]")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
-        return cls(n, frozenset((c, d) for c, d in edges))
+        validate_dimension(n)
+        rows = [0] * (1 << n)
+        for c, d in edges:
+            validate_subset(c, n)
+            validate_subset(d, n)
+            rows[c] |= 1 << d
+        return cls(n, tuple(rows))
 
     @classmethod
     def empty(cls, n: int) -> Digraph:
-        return cls(n, frozenset())
+        validate_dimension(n)
+        return cls(n, (0,) * (1 << n))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edge set (c, d), derived from ``rows``."""
+        return frozenset(_edge_pairs(self))
 
     def contains(self, c: int, d: int) -> bool:
-        return (c, d) in self.edges
+        size = len(self.rows)
+        return 0 <= c < size and 0 <= d < size and self.rows[c] >> d & 1 == 1
+
+
+def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
+    """The edges (c, d) in mask order of c, then of d."""
+    return [(c, d) for c, row in enumerate(a.rows) for d in bits_of(row)]
 
 
 def sorted_edges(a: Digraph) -> list[tuple[int, int]]:
     """Edges ordered by (index_of(c), index_of(d))."""
     t = tables(a.n)
-    return sorted(a.edges, key=lambda e: (t.index[e[0]], t.index[e[1]]))
+    by_index = t.index.__getitem__
+    return [(c, d) for c in t.order for d in sorted(bits_of(a.rows[c]), key=by_index)]
 
 
 def identity_digraph(n: int, basis: Basis) -> Digraph:
@@ -93,18 +121,6 @@ def identity_digraph(n: int, basis: Basis) -> Digraph:
     if basis in _POINT_BASES:
         return Digraph.from_edges(n, ((c, 0) for c in range(1 << n)))
     return Digraph.from_edges(n, [(0, 0)])
-
-
-def digraph_grid(a: Digraph) -> list[int]:
-    """Mask-indexed edge grid: bit d of row c says whether (c, d) is an edge."""
-    rows = [0] * (1 << a.n)
-    for c, d in a.edges:
-        rows[c] |= 1 << d
-    return rows
-
-
-def digraph_from_grid(n: int, rows: list[int]) -> Digraph:
-    return Digraph(n, frozenset((c, d) for c in range(1 << n) for d in bits_of(rows[c])))
 
 
 def _down_first(rows: list[int], n: int) -> None:
@@ -141,13 +157,13 @@ def _hat_grid(rows: list[int], n: int, basis: Basis) -> list[int]:
 
 def _matrix_rows_masked(a: Digraph, basis: Basis) -> list[int]:
     # Mask-indexed matrix of the operator: entry (p, q) = ms-coefficient (p, p + q).
-    rows = _hat_grid(digraph_grid(a), a.n, basis)
+    rows = _hat_grid(list(a.rows), a.n, basis)
     return [shift_packed(rows[p], p, a.n) for p in range(1 << a.n)]
 
 
 def _digraph_from_masked_rows(n: int, rows: list[int], basis: Basis) -> Digraph:
     grid = [shift_packed(rows[p], p, n) for p in range(1 << n)]
-    return digraph_from_grid(n, _hat_grid(grid, n, basis))
+    return Digraph(n, tuple(_hat_grid(grid, n, basis)))
 
 
 def operator_matrix(a: Digraph, basis: Basis) -> Gf2Matrix:
@@ -186,8 +202,8 @@ def change_operator_basis(a: Digraph, source: Basis, target: Basis) -> Digraph:
     """Re-express the same operator's digraph in another basis."""
     if source is target:
         return a
-    grid = _hat_grid(digraph_grid(a), a.n, source)
-    return digraph_from_grid(a.n, _hat_grid(grid, a.n, target))
+    grid = _hat_grid(list(a.rows), a.n, source)
+    return Digraph(a.n, tuple(_hat_grid(grid, a.n, target)))
 
 
 def apply_operator(a: Digraph, basis: Basis, f: BooleanFunction) -> BooleanFunction:
@@ -200,9 +216,11 @@ def apply_operator(a: Digraph, basis: Basis, f: BooleanFunction) -> BooleanFunct
     out = 0
     shift_family = basis in _SHIFT_BASES
     point_family = basis in _POINT_BASES
-    for c, d in a.edges:
-        w = shift_packed(u, d, n) if shift_family else derivative_packed(u, d, n)
-        out ^= w & ((1 << c) if point_family else t.upsets[c])
+    for c, row in enumerate(a.rows):
+        mask = (1 << c) if point_family else t.upsets[c]
+        for d in bits_of(row):
+            w = shift_packed(u, d, n) if shift_family else derivative_packed(u, d, n)
+            out ^= w & mask
     return _from_packed(n, out)
 
 
@@ -241,14 +259,10 @@ def operator_expr(a: Digraph, basis: Basis, collapse: bool = True) -> OperatorEx
     With ``collapse`` set, a full diagonal {(c, {}) for every c} prints as a
     trailing "+ 1"; a partial diagonal never collapses.
     """
-    diagonal = {(c, 0) for c in range(1 << a.n)}
-    edges = set(a.edges)
-    collapsed = collapse and diagonal <= edges
+    collapsed = collapse and all(r & 1 for r in a.rows)
     if collapsed:
-        edges -= diagonal
-    t = tables(a.n)
-    terms = tuple(sorted(edges, key=lambda e: (t.index[e[0]], t.index[e[1]])))
-    return OperatorExpr(basis, a.n, terms, collapsed)
+        a = Digraph(a.n, tuple(r ^ 1 for r in a.rows))
+    return OperatorExpr(basis, a.n, tuple(sorted_edges(a)), collapsed)
 
 
 def format_operator(a: Digraph, basis: Basis, collapse: bool = True) -> str:
@@ -265,7 +279,7 @@ def format_digraph(a: Digraph) -> str:
 def parse_digraph(text: str) -> Digraph:
     """Parse the text form; duplicate edges are an error, comments allowed."""
     n: int | None = None
-    edges: set[tuple[int, int]] = set()
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -275,17 +289,18 @@ def parse_digraph(text: str) -> Digraph:
                 raise ParseError(f"expected the dimension n, got {line!r}", lineno)
             n = int(line)
             validate_dimension(n)
+            rows = [0] * (1 << n)
             continue
         close = line.find("}")
         if close == -1:
             raise ParseError(f"expected '<c> <d>', got {line!r}", lineno)
         try:
-            edge = (parse_subset(line[: close + 1], n), parse_subset(line[close + 1 :], n))
+            c, d = parse_subset(line[: close + 1], n), parse_subset(line[close + 1 :], n)
         except ParseError as exc:
             raise ParseError(str(exc), lineno) from None
-        if edge in edges:
+        if rows[c] >> d & 1:
             raise ParseError(f"duplicate edge {line!r}", lineno)
-        edges.add(edge)
+        rows[c] |= 1 << d
     if n is None:
         raise ParseError("missing dimension line")
-    return Digraph(n, frozenset(edges))
+    return Digraph(n, tuple(rows))

@@ -3,8 +3,8 @@
 Composing the operators of two digraphs yields an operator again, so each
 basis induces a product on digraphs.  Every product has two routes:
 
-* direct -- the basis's combinatorial parity formula on edges, with witness
-  multiplicities counted as integers and reduced mod 2;
+* direct -- the basis's combinatorial parity formula on edges, which
+  XOR-accumulates witnesses into the row grid;
 * matrix -- map both factors to matrices, multiply over GF(2), map back.
 
 The two routes agree everywhere (the direct formulas are closed forms of the
@@ -15,17 +15,17 @@ global dimension cap.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError, DimensionError, DomainError
 from .gf2 import Gf2Matrix, _mul_rows
-from .lattice import index_of, subsets_iter, tables
+from .lattice import bits_of, subsets_iter, tables
 from .operators import (
     Basis,
     Digraph,
     _digraph_from_masked_rows,
+    _edge_pairs,
     _matrix_rows_masked,
     operator_digraph,
 )
@@ -39,35 +39,27 @@ def _check_pair(a: Digraph, b: Digraph) -> int:
     return a.n
 
 
-def _parity(n: int, count: Counter) -> Digraph:
-    return Digraph(n, frozenset(edge for edge, c in count.items() if c & 1))
-
-
 def slices_by_second(a: Digraph) -> dict[int, set[int]]:
     """d -> {c : (c, d) is an edge}; the column slices A_d."""
     out: dict[int, set[int]] = {}
-    for c, d in a.edges:
+    for c, d in _edge_pairs(a):
         out.setdefault(d, set()).add(c)
     return out
 
 
 def slices_by_first(a: Digraph) -> dict[int, set[int]]:
     """c -> {d : (c, d) is an edge}; the row slices."""
-    out: dict[int, set[int]] = {}
-    for c, d in a.edges:
-        out.setdefault(c, set()).add(d)
-    return out
+    return {c: set(bits_of(row)) for c, row in enumerate(a.rows) if row}
 
 
 def star_product(a: Digraph, b: Digraph) -> Digraph:
     """ms product: (a*b)(c,d) = parity over e of a(c,e)*b(c+e, d+e)."""
     n = _check_pair(a, b)
-    by_first = slices_by_first(b)
-    count: Counter = Counter()
-    for c, e in a.edges:
-        for g in by_first.get(c ^ e, ()):
-            count[(c, g ^ e)] += 1
-    return _parity(n, count)
+    rows = [0] * (1 << n)
+    for c, e in _edge_pairs(a):
+        for g in bits_of(b.rows[c ^ e]):
+            rows[c] ^= 1 << (g ^ e)
+    return Digraph(n, tuple(rows))
 
 
 def star_single_edge(n: int, a: int, b: int, c: int, d: int) -> Digraph:
@@ -85,29 +77,29 @@ def star_decomposed(a: Digraph, b: Digraph, mode: str) -> Digraph:
     mode="row_row": {c} x (B_e + c + e) whenever c+e lies in row c of A.
     """
     n = _check_pair(a, b)
-    count: Counter = Counter()
+    rows = [0] * (1 << n)
     if mode == "col_col":
         for d, a_firsts in slices_by_second(a).items():
             for e, b_firsts in slices_by_second(b).items():
                 col = d ^ e
                 for x in a_firsts:
                     if x ^ d in b_firsts:
-                        count[(x, col)] += 1
+                        rows[x] ^= 1 << col
     elif mode == "col_row":
         for d, a_firsts in slices_by_second(a).items():
             for e, b_seconds in slices_by_first(b).items():
                 if d ^ e in a_firsts:
                     for y in b_seconds:
-                        count[(d ^ e, y ^ d)] += 1
+                        rows[d ^ e] ^= 1 << (y ^ d)
     elif mode == "row_row":
         for c, a_seconds in slices_by_first(a).items():
             for e, b_seconds in slices_by_first(b).items():
                 if c ^ e in a_seconds:
                     for y in b_seconds:
-                        count[(c, y ^ c ^ e)] += 1
+                        rows[c] ^= 1 << (y ^ c ^ e)
     else:
         raise DomainError(f"mode must be col_col, col_row or row_row, got {mode!r}")
-    return _parity(n, count)
+    return Digraph(n, tuple(rows))
 
 
 def circ_product(a: Digraph, b: Digraph) -> Digraph:
@@ -115,28 +107,30 @@ def circ_product(a: Digraph, b: Digraph) -> Digraph:
     (f,g) in b and d\\g <= c+f <= e; the witness count is taken mod 2."""
     n = _check_pair(a, b)
     full = (1 << n) - 1
-    count: Counter = Counter()
-    for c, e in a.edges:
-        for f, g in b.edges:
+    rows = [0] * (1 << n)
+    b_edges = _edge_pairs(b)
+    for c, e in _edge_pairs(a):
+        for f, g in b_edges:
             x = c ^ f
             if x & (full ^ e):
                 continue
             for t in subsets_iter(x & ~g):
-                count[(c, g | t)] += 1
-    return _parity(n, count)
+                rows[c] ^= 1 << (g | t)
+    return Digraph(n, tuple(rows))
 
 
 def ast_product(a: Digraph, b: Digraph) -> Digraph:
     """xs product: for edges (e,g) of a and (h,y) of b, each k <= g meet h
     contributes one witness at (e union (h\\k), g+y)."""
     n = _check_pair(a, b)
-    count: Counter = Counter()
-    for e, g in a.edges:
-        for h, y in b.edges:
+    rows = [0] * (1 << n)
+    b_edges = _edge_pairs(b)
+    for e, g in _edge_pairs(a):
+        for h, y in b_edges:
             d = g ^ y
             for k in subsets_iter(g & h):
-                count[(e | (h ^ k), d)] += 1
-    return _parity(n, count)
+                rows[e | (h ^ k)] ^= 1 << d
+    return Digraph(n, tuple(rows))
 
 
 def bullet_product(a: Digraph, b: Digraph) -> Digraph:
@@ -144,17 +138,18 @@ def bullet_product(a: Digraph, b: Digraph) -> Digraph:
     k1 <= k2 <= f meet g with f\\k1 disjoint from h, landing on the edge
     (e union (g\\k2), h union (f\\k1))."""
     n = _check_pair(a, b)
-    count: Counter = Counter()
-    for e, f in a.edges:
-        for g, h in b.edges:
+    rows = [0] * (1 << n)
+    b_edges = _edge_pairs(b)
+    for e, f in _edge_pairs(a):
+        for g, h in b_edges:
             for k2 in subsets_iter(f & g):
                 c = e | (g ^ k2)
                 for k1 in subsets_iter(k2):
                     fk = f ^ k1
                     if fk & h:
                         continue
-                    count[(c, h | fk)] += 1
-    return _parity(n, count)
+                    rows[c] ^= 1 << (h | fk)
+    return Digraph(n, tuple(rows))
 
 
 _DIRECT = {
@@ -195,9 +190,10 @@ def product(a: Digraph, b: Digraph, basis: Basis, route: str = "auto") -> Digrap
 
 def digraph_label(a: Digraph) -> str:
     """Table notation: edges as card-lex index pairs, e.g. "{(0,1),(1,0)}"."""
-    if not a.edges:
+    if not any(a.rows):
         return "0"
-    pairs = sorted((index_of(c, a.n), index_of(d, a.n)) for c, d in a.edges)
+    t = tables(a.n)
+    pairs = sorted((t.index[c], t.index[d]) for c, d in _edge_pairs(a))
     return "{" + ",".join(f"({i},{j})" for i, j in pairs) + "}"
 
 
@@ -210,7 +206,7 @@ def enumerate_all_digraphs(n: int) -> list[Digraph]:
     graphs = []
     for count in range(len(slots) + 1):
         for combo in combinations(range(len(slots)), count):
-            graphs.append(Digraph(n, frozenset(slots[k] for k in combo)))
+            graphs.append(Digraph.from_edges(n, (slots[k] for k in combo)))
     return graphs
 
 

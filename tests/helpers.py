@@ -156,11 +156,8 @@ def closed_form_digraph(m: Gf2Matrix, basis: Basis) -> Digraph:
 
 def random_digraph(rng: random.Random, n: int, density: float = 0.3) -> Digraph:
     size = 1 << n
-    return Digraph(
-        n,
-        frozenset(
-            (c, d) for c in range(size) for d in range(size) if rng.random() < density
-        ),
+    return Digraph.from_edges(
+        n, ((c, d) for c in range(size) for d in range(size) if rng.random() < density)
     )
 
 

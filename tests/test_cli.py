@@ -167,6 +167,13 @@ def test_missing_file_is_a_parse_error(tmp_path, capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_is_a_parse_error(tmp_path, capsys) -> None:
+    a = _write(tmp_path, "a.dg", JORDAN_DIGRAPH_N1)
+    out = tmp_path / "missing" / "x"
+    assert main(["rank", a, "--basis", "ms", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 def test_malformed_digraph_reports_its_line(tmp_path, capsys) -> None:
     a = _write(tmp_path, "bad.dg", "1\n{2} {}\n")
     assert main(["rank", a, "--basis", "ms"]) == 2

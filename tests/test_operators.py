@@ -233,6 +233,14 @@ def test_digraph_validates_its_edges() -> None:
         Digraph.from_edges(1, [(2, 0)])
     with pytest.raises(DomainError):
         Digraph.from_edges(1, [(0, -1)])
+    with pytest.raises(DomainError):
+        Digraph(1, (0, 0, 0))
+    with pytest.raises(DomainError):
+        Digraph(1, (0, 1 << 2))
+    with pytest.raises(DomainError):
+        Digraph(1, (-1, 0))
+    a = random_digraph(random.Random(0xE0D6), 3)
+    assert Digraph.from_edges(a.n, a.edges) == a
 
 
 def test_basis_from_string() -> None:
