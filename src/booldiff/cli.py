@@ -9,7 +9,7 @@ from pathlib import Path
 from .errors import CapacityError, DimensionError, DomainError, ParseError
 from .functions import format_bf, parse_bf
 from .gf2 import format_matrix, parse_matrix
-from .lattice import index_of
+from .lattice import tables
 from .operators import (
     Basis,
     apply_operator,
@@ -27,9 +27,11 @@ from .products import jordan_digraph, multiplication_table, product
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,8 +107,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     lines = ["x\ty\tmarker"]
 
     def rows(g, marker):
+        index = tables(g.n).index
         for c, d in sorted_edges(g):
-            lines.append(f"{index_of(c, g.n)}\t{index_of(d, g.n)}\t{marker}")
+            lines.append(f"{index[c]}\t{index[d]}\t{marker}")
 
     if args.b is None:
         rows(a, "point")

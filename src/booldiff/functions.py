@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, DomainError, ParseError
 from .gf2 import BitVector
 from .lattice import (
+    parse_decimal,
     shift_packed,
     subset_sum_transform,
     subsets_iter,
@@ -172,16 +173,16 @@ def parse_bf(text: str) -> BooleanFunction:
         if not line or line.startswith("#"):
             continue
         if n is None:
-            if not line.isdigit():
+            n = parse_decimal(line)
+            if n is None:
                 raise ParseError(f"expected the dimension n, got {line!r}", lineno)
-            n = int(line)
             validate_dimension(n)
             continue
         if truth is not None:
             raise ParseError("unexpected extra data line", lineno)
         if len(line) != 1 << n or set(line) - {"0", "1"}:
             raise ParseError(f"expected {1 << n} chars of 0/1, got {line!r}", lineno)
-        truth = BitVector.from_bits([1 if ch == "1" else 0 for ch in line])
+        truth = BitVector(len(line), int(line[::-1], 2))
     if n is None or truth is None:
         raise ParseError("truncated function file")
     return BooleanFunction(n, truth)

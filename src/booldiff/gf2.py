@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
+from .lattice import parse_decimal
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,8 @@ class BitVector:
         return self.bits.bit_count()
 
     def to01(self) -> str:
-        return "".join("1" if self.bits >> k & 1 else "0" for k in range(self.length))
+        """Entry k as character k; ``format`` writes bit 0 last, hence the reversal."""
+        return format(self.bits, f"0{self.length}b")[::-1] if self.length else ""
 
 
 @dataclass(frozen=True)
@@ -191,17 +193,17 @@ def parse_matrix(text: str) -> Gf2Matrix:
         if not line or line.startswith("#"):
             continue
         if header is None:
-            parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            dims = tuple(parse_decimal(p) for p in line.split())
+            if len(dims) != 2 or None in dims:
                 raise ParseError(f"expected 'rows cols' header, got {line!r}", lineno)
-            header = (int(parts[0]), int(parts[1]))
+            header = dims
             continue
         nrows, ncols = header
         if len(rows) >= nrows:
             raise ParseError(f"more than {nrows} data rows", lineno)
         if len(line) != ncols or set(line) - {"0", "1"}:
             raise ParseError(f"expected {ncols} chars of 0/1, got {line!r}", lineno)
-        rows.append(sum(1 << k for k, ch in enumerate(line) if ch == "1"))
+        rows.append(int(line[::-1], 2))
     if header is None:
         raise ParseError("missing 'rows cols' header")
     if len(rows) != header[0]:

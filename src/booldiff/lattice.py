@@ -205,6 +205,20 @@ def subset_sum_transform(values: int, n: int, direction: str) -> int:
     return values
 
 
+def parse_decimal(text: str) -> int | None:
+    """The value of an ASCII decimal numeral such as "7" or "007", else None.
+
+    Other Unicode digits ('²', fullwidth '１') are not numerals here, and nor
+    is a numeral longer than ``int`` converts (``sys.get_int_max_str_digits``).
+    """
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def format_subset(s: int) -> str:
     """Render a mask in the package's subset syntax, e.g. "{}" or "{1,3}"."""
     return "{" + ",".join(str(e) for e in elements(s)) + "}"
@@ -221,9 +235,9 @@ def parse_subset(text: str, n: int) -> int:
     elems = []
     for part in inner.split(","):
         part = part.strip()
-        if not part.isdigit():
+        e = parse_decimal(part)
+        if e is None:
             raise ParseError(f"bad subset element {part!r} in {text.strip()!r}")
-        e = int(part)
         if not 1 <= e <= n:
             raise ParseError(f"element {e} outside 1..{n} in {text.strip()!r}")
         elems.append(e)

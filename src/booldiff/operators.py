@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import lru_cache
+from itertools import compress
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DimensionError, DomainError, ParseError
 from .functions import BooleanFunction, _from_packed, _packed, derivative_packed
@@ -31,12 +33,15 @@ from .gf2 import Gf2Matrix, mat_rank
 from .lattice import (
     bits_of,
     format_subset,
+    parse_decimal,
     parse_subset,
     shift_packed,
     tables,
     validate_dimension,
     validate_subset,
 )
+
+T = TypeVar("T")
 
 
 class Basis(enum.Enum):
@@ -109,11 +114,36 @@ def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
     return [(c, d) for c, row in enumerate(a.rows) for d in bits_of(row)]
 
 
+# Maps the characters of a binary numeral to the bytes 0 and 1, which test false and true.
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _cardlex_rows(a: Digraph, labels: Sequence[T]) -> Iterator[tuple[int, Iterator[T]]]:
+    """(c, the labels of d for the edges (c, d)) per non-empty row, card-lex on both.
+
+    ``labels[k]`` stands for the subset at card-lex position k.  A row with at
+    least 2^n / 8 bits is read in one pass over all 2^n positions: its binary
+    numeral, reversed so that character d is bit d, is permuted into card-lex
+    order and selects from ``labels``.  A sparser row sorts its set bits'
+    card-lex positions instead, which costs per bit, not per position.
+    """
+    t = tables(a.n)
+    order, index = t.order, t.index
+    width = f"0{t.size}b"
+    for c in order:
+        row = a.rows[c]
+        if not row:
+            continue
+        if row.bit_count() * 8 < t.size:
+            yield c, map(labels.__getitem__, sorted(map(index.__getitem__, bits_of(row))))
+        else:
+            flags = format(row, width)[::-1].encode().translate(_BIT_FLAGS)
+            yield c, compress(labels, map(flags.__getitem__, order))
+
+
 def sorted_edges(a: Digraph) -> list[tuple[int, int]]:
     """Edges ordered by (index_of(c), index_of(d))."""
-    t = tables(a.n)
-    by_index = t.index.__getitem__
-    return [(c, d) for c in t.order for d in sorted(bits_of(a.rows[c]), key=by_index)]
+    return [(c, d) for c, ds in _cardlex_rows(a, tables(a.n).order) for d in ds]
 
 
 def identity_digraph(n: int, basis: Basis) -> Digraph:
@@ -269,35 +299,59 @@ def format_operator(a: Digraph, basis: Basis, collapse: bool = True) -> str:
     return str(operator_expr(a, basis, collapse))
 
 
+@lru_cache(maxsize=None)
+def _subset_names(n: int) -> tuple[tuple[str, ...], tuple[str, ...], dict[str, int]]:
+    """(name of each mask, the names in card-lex order, canonical name -> mask)."""
+    order = tables(n).order
+    names = tuple(format_subset(m) for m in range(len(order)))
+    return names, tuple(names[m] for m in order), {name: m for m, name in enumerate(names)}
+
+
 def format_digraph(a: Digraph) -> str:
     """Canonical text form: n, then one "<c> <d>" line per edge, sorted."""
+    names, cardlex_names, _ = _subset_names(a.n)
     lines = [str(a.n)]
-    lines.extend(f"{format_subset(c)} {format_subset(d)}" for c, d in sorted_edges(a))
+    for c, ds in _cardlex_rows(a, cardlex_names):
+        lines.extend(map(f"{names[c]} ".__add__, ds))
     return "\n".join(lines) + "\n"
 
 
+def _parse_edge(line: str, n: int, lineno: int) -> tuple[int, int]:
+    # The full edge syntax: whitespace around and inside braces, leading zeros.
+    close = line.find("}")
+    if close == -1:
+        raise ParseError(f"expected '<c> <d>', got {line!r}", lineno)
+    try:
+        return parse_subset(line[: close + 1], n), parse_subset(line[close + 1 :], n)
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
 def parse_digraph(text: str) -> Digraph:
-    """Parse the text form; duplicate edges are an error, comments allowed."""
+    """Parse the text form; duplicate edges are an error, comments allowed.
+
+    A line in the canonical form ``format_digraph`` writes is two table
+    lookups; any other line goes through the full syntax of ``parse_subset``.
+    """
     n: int | None = None
     rows: list[int] = []
+    masks: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if n is None:
-            if not line.isdigit():
+            n = parse_decimal(line)
+            if n is None:
                 raise ParseError(f"expected the dimension n, got {line!r}", lineno)
-            n = int(line)
             validate_dimension(n)
             rows = [0] * (1 << n)
+            masks = _subset_names(n)[2]
             continue
-        close = line.find("}")
-        if close == -1:
-            raise ParseError(f"expected '<c> <d>', got {line!r}", lineno)
-        try:
-            c, d = parse_subset(line[: close + 1], n), parse_subset(line[close + 1 :], n)
-        except ParseError as exc:
-            raise ParseError(str(exc), lineno) from None
+        c_name, _, d_name = line.partition(" ")
+        c, d = masks.get(c_name), masks.get(d_name)
+        if c is None or d is None:
+            c, d = _parse_edge(line, n, lineno)
         if rows[c] >> d & 1:
             raise ParseError(f"duplicate edge {line!r}", lineno)
         rows[c] |= 1 << d

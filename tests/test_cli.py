@@ -174,6 +174,23 @@ def test_unwritable_out_path_is_a_parse_error(tmp_path, capsys) -> None:
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
 
 
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys) -> None:
+    path = tmp_path / "bytes.dg"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["rank", str(path), "--basis", "ms"]) == 2
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text (byte 0)\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["\u00b2\n", "\uff11\n{} {}\n", pytest.param("9" * 5000 + "\n", id="overlong")]
+)
+def test_non_ascii_or_overlong_dimension_is_a_parse_error(tmp_path, capsys, text: str) -> None:
+    path = tmp_path / "a.dg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["rank", str(path), "--basis", "ms"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1: expected the dimension n")
+
+
 def test_malformed_digraph_reports_its_line(tmp_path, capsys) -> None:
     a = _write(tmp_path, "bad.dg", "1\n{2} {}\n")
     assert main(["rank", a, "--basis", "ms"]) == 2

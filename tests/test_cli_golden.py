@@ -56,7 +56,8 @@ def _noisy_edge_text(rng: random.Random, n: int, rows: list[int]) -> str:
             if rows[c] >> d & 1:
                 cs = ", ".join(str(i + 1) for i in range(n) if c >> i & 1)
                 ds = ",".join(str(i + 1) for i in range(n) if d >> i & 1)
-                lines.append(f"{pad[rng.randrange(4)]}{{{cs} }}{pad[rng.randrange(3)]} {{ {ds}}}{pad[rng.randrange(4)]}")
+                lead, mid, tail = pad[rng.randrange(4)], pad[rng.randrange(3)], pad[rng.randrange(4)]
+                lines.append(f"{lead}{{{cs} }}{mid} {{ {ds}}}{tail}")
                 if rng.randrange(8) == 0:
                     lines.append("#")
     return "\n".join(lines) + "\n"

@@ -201,3 +201,9 @@ def test_parse_bf_skips_comments() -> None:
 def test_parse_bf_reports_line_numbers(text: str, fragment: str) -> None:
     with pytest.raises(ParseError, match=fragment):
         parse_bf(text)
+
+
+@pytest.mark.parametrize("text", ["\u00b2\n0110\n", "\uff11\n01\n", "1\n0\uff11\n"])
+def test_parse_bf_accepts_ascii_digits_only(text: str) -> None:
+    with pytest.raises(ParseError, match="line"):
+        parse_bf(text)

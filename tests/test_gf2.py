@@ -176,3 +176,19 @@ def test_parse_matrix_skips_comments_and_blank_lines() -> None:
 def test_parse_matrix_reports_line_numbers(text: str, fragment: str) -> None:
     with pytest.raises(ParseError, match=fragment):
         parse_matrix(text)
+
+
+@pytest.mark.parametrize("text", ["\u00b2 2\n11\n01\n", "1 \uff11\n1\n", "1 1\n\uff11\n"])
+def test_parse_matrix_accepts_ascii_digits_only(text: str) -> None:
+    with pytest.raises(ParseError, match="line"):
+        parse_matrix(text)
+
+
+def test_to01_writes_entry_k_as_character_k() -> None:
+    assert BitVector(0, 0).to01() == ""
+    assert BitVector(1, 0).to01() == "0"
+    assert BitVector(5, 0b00110).to01() == "01100"
+    rng = random.Random(0xC008)
+    for length in range(1, 70):
+        bits = rng.getrandbits(length)
+        assert BitVector(length, bits).to01() == "".join(str(bits >> k & 1) for k in range(length))

@@ -222,3 +222,15 @@ def test_parse_subset_accepts_spaces_and_round_trips() -> None:
 def test_parse_subset_rejects_malformed_text(text: str) -> None:
     with pytest.raises(ParseError):
         parse_subset(text, 4)
+
+
+@pytest.mark.parametrize(
+    "text", ["{\u00b2}", "{\uff11}", "{1,\u0663}", pytest.param("{" + "1" * 5000 + "}", id="overlong")]
+)
+def test_parse_subset_accepts_ascii_digits_only(text: str) -> None:
+    with pytest.raises(ParseError, match="bad subset element"):
+        parse_subset(text, 4)
+
+
+def test_parse_subset_reads_leading_zeros() -> None:
+    assert parse_subset("{01,003}", 4) == mask_of([1, 3])

@@ -228,6 +228,16 @@ def test_parse_digraph_reports_line_numbers(text: str, fragment: str) -> None:
         parse_digraph(text)
 
 
+@pytest.mark.parametrize("text", ["\u00b2\n", "\uff11\n{} {}\n", "1\n{\uff11} {}\n", "1\n{} {\u00b9}\n"])
+def test_parse_digraph_accepts_ascii_digits_only(text: str) -> None:
+    with pytest.raises(ParseError, match="line"):
+        parse_digraph(text)
+
+
+def test_parse_digraph_reads_leading_zeros() -> None:
+    assert parse_digraph("02\n{01} {002}\n") == Digraph.from_edges(2, [(mask_of([1]), mask_of([2]))])
+
+
 def test_digraph_validates_its_edges() -> None:
     with pytest.raises(DomainError):
         Digraph.from_edges(1, [(2, 0)])
