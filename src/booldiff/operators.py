@@ -24,8 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 from .errors import DimensionError, DomainError, ParseError
 from .functions import BooleanFunction, _from_packed, _packed, derivative_packed
@@ -40,8 +39,6 @@ from .lattice import (
     validate_dimension,
     validate_subset,
 )
-
-T = TypeVar("T")
 
 
 class Basis(enum.Enum):
@@ -114,36 +111,20 @@ def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
     return [(c, d) for c, row in enumerate(a.rows) for d in bits_of(row)]
 
 
-# Maps the characters of a binary numeral to the bytes 0 and 1, which test false and true.
-_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _cardlex_rows(a: Digraph, labels: Sequence[T]) -> Iterator[tuple[int, Iterator[T]]]:
-    """(c, the labels of d for the edges (c, d)) per non-empty row, card-lex on both.
-
-    ``labels[k]`` stands for the subset at card-lex position k.  A row with at
-    least 2^n / 8 bits is read in one pass over all 2^n positions: its binary
-    numeral, reversed so that character d is bit d, is permuted into card-lex
-    order and selects from ``labels``.  A sparser row sorts its set bits'
-    card-lex positions instead, which costs per bit, not per position.
-    """
+def _cardlex_rows(a: Digraph) -> Iterator[tuple[int, list[int]]]:
+    """(c, the card-lex positions of d for the edges (c, d)) per non-empty row, c card-lex."""
     t = tables(a.n)
-    order, index = t.order, t.index
-    width = f"0{t.size}b"
-    for c in order:
+    index = t.index.__getitem__
+    for c in t.order:
         row = a.rows[c]
-        if not row:
-            continue
-        if row.bit_count() * 8 < t.size:
-            yield c, map(labels.__getitem__, sorted(map(index.__getitem__, bits_of(row))))
-        else:
-            flags = format(row, width)[::-1].encode().translate(_BIT_FLAGS)
-            yield c, compress(labels, map(flags.__getitem__, order))
+        if row:
+            yield c, sorted(map(index, bits_of(row)))
 
 
 def sorted_edges(a: Digraph) -> list[tuple[int, int]]:
     """Edges ordered by (index_of(c), index_of(d))."""
-    return [(c, d) for c, ds in _cardlex_rows(a, tables(a.n).order) for d in ds]
+    order = tables(a.n).order
+    return [(c, order[k]) for c, ks in _cardlex_rows(a) for k in ks]
 
 
 def identity_digraph(n: int, basis: Basis) -> Digraph:
@@ -311,8 +292,8 @@ def format_digraph(a: Digraph) -> str:
     """Canonical text form: n, then one "<c> <d>" line per edge, sorted."""
     names, cardlex_names, _ = _subset_names(a.n)
     lines = [str(a.n)]
-    for c, ds in _cardlex_rows(a, cardlex_names):
-        lines.extend(map(f"{names[c]} ".__add__, ds))
+    for c, ks in _cardlex_rows(a):
+        lines.extend(map(f"{names[c]} ".__add__, map(cardlex_names.__getitem__, ks)))
     return "\n".join(lines) + "\n"
 
 

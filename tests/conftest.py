@@ -9,7 +9,6 @@ except ImportError:  # the property tests skip themselves without hypothesis
     pass
 else:
     settings.register_profile("tier1", derandomize=True, max_examples=60, deadline=None, database=None)
-    settings.register_profile("fuzz", max_examples=5000, deadline=None)
     settings.load_profile("tier1")
 
 

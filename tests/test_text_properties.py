@@ -45,7 +45,7 @@ def _noisy_subset(rnd: random.Random, name: str) -> str:
 
 def _noisy(rnd: random.Random, text: str) -> str:
     # Canonical text with whitespace inside and between fields, leading zeros,
-    # and blank and comment lines; every edge line misses the lookup table.
+    # and blank and comment lines; most edge lines miss the lookup table.
     first, *edges = text.splitlines()
     lines = [rnd.choice(("", " ", "\t")) + first + rnd.choice(("", " ", "\t"))]
     for line in edges:
