@@ -4,7 +4,9 @@ A function is stored by its truth vector in card-lex order (bit at position
 ``index_of(b, n)`` is f(b)).  The point basis m^a is the indicator of the
 single subset a; the up-set basis x^a is the indicator of all supersets of a.
 The shift s^d translates the argument by d (symmetric difference), and the
-derivative along d is the alternating sum of shifts over subsets of d.
+derivative along d is the alternating sum of shifts over subsets of d.  Over
+Z2 that sum factors as del^d = prod over i in d of (1 + s^{i}), so a
+derivative takes |d| shift-XOR passes rather than 2^|d| shifts.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ from dataclasses import dataclass
 from .errors import DimensionError, DomainError, ParseError
 from .gf2 import BitVector
 from .lattice import (
+    LatticeTables,
+    _shift_step,
+    _upset,
+    bits_of,
     parse_decimal,
     shift_packed,
     subset_sum_transform,
-    subsets_iter,
     tables,
     validate_dimension,
     validate_subset,
@@ -86,7 +91,7 @@ def x_basis(a: int, n: int) -> BooleanFunction:
     """The up-set function x^a: 1 exactly on supersets of a."""
     t = tables(n)
     validate_subset(a, n)
-    return _from_packed(n, t.upsets[a])
+    return _from_packed(n, _upset(a, t))
 
 
 def bf_add(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
@@ -108,17 +113,30 @@ def shift(f: BooleanFunction, d: int) -> BooleanFunction:
     return _from_packed(f.n, shift_packed(_packed(f), d, f.n))
 
 
+def _derivative(values: int, d: int, t: LatticeTables) -> int:
+    # del^d = prod over i in d of (1 + s^{i}): one shift-XOR pass per element.
+    for i in bits_of(d):
+        values ^= _shift_step(values, i, t)
+    return values
+
+
 def derivative_packed(values: int, d: int, n: int) -> int:
-    """Derivative along d of a mask-packed map: XOR of its shifts over c <= d."""
+    """Derivative along d of a mask-packed map: XOR of its shifts over c <= d.
+
+    Computed in the product form del^d = prod over i in d of (1 + s^{i}),
+    one shift-XOR pass per element of d.
+    """
+    t = tables(n)
     validate_subset(d, n)
-    acc = 0
-    for c in subsets_iter(d):
-        acc ^= shift_packed(values, c, n)
-    return acc
+    return _derivative(values, d, t)
 
 
 def derivative(f: BooleanFunction, d: int) -> BooleanFunction:
-    """The finite difference along d: XOR of shifts s^c f over subsets c of d."""
+    """The finite difference along d: XOR of shifts s^c f over subsets c of d.
+
+    Equivalently the product of the single-coordinate differences 1 + s^{i}
+    over the elements i of d, which is how it is computed.
+    """
     return _from_packed(f.n, derivative_packed(_packed(f), d, f.n))
 
 

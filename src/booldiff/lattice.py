@@ -116,8 +116,7 @@ class LatticeTables:
 
     ``order[k]`` is the mask at card-lex position k; ``index[mask]`` inverts it.
     ``bit_set[i]`` / ``bit_clear[i]`` are (2**n)-bit patterns selecting packed
-    positions whose mask has bit i set / clear.  ``upsets[c]`` selects the
-    positions of all supersets of c.
+    positions whose mask has bit i set / clear.
     """
 
     n: int
@@ -126,7 +125,6 @@ class LatticeTables:
     index: tuple[int, ...]
     bit_set: tuple[int, ...]
     bit_clear: tuple[int, ...]
-    upsets: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -145,13 +143,7 @@ def _tables(n: int) -> LatticeTables:
                 pat |= 1 << p
         bit_set.append(pat)
     bit_clear = tuple(full ^ pat for pat in bit_set)
-    upsets = []
-    for c in range(size):
-        up = full
-        for i in bits_of(c):
-            up &= bit_set[i]
-        upsets.append(up)
-    return LatticeTables(n, size, order, tuple(index), tuple(bit_set), bit_clear, tuple(upsets))
+    return LatticeTables(n, size, order, tuple(index), tuple(bit_set), bit_clear)
 
 
 def tables(n: int) -> LatticeTables:
@@ -174,15 +166,36 @@ def subset_of(k: int, n: int) -> int:
     return t.order[k]
 
 
+def _upset(c: int, t: LatticeTables) -> int:
+    """The packed indicator of the supersets of c: the AND of bit_set[i] over i in c."""
+    up = (1 << t.size) - 1
+    for i in bits_of(c):
+        up &= t.bit_set[i]
+    return up
+
+
+# The kernels below are bound to a table and validate nothing; the public
+# functions that call them validate once at entry.
+
+def _shift_step(values: int, i: int, t: LatticeTables) -> int:
+    """Translate a packed map along the singleton {i + 1}: swap the halves split by bit i."""
+    off = 1 << i
+    low = t.bit_clear[i]
+    return ((values & low) << off) | ((values >> off) & low)
+
+
+def _shift(values: int, d: int, t: LatticeTables) -> int:
+    """``shift_packed`` for a subset d already known to lie in [t.n]."""
+    for i in bits_of(d):
+        values = _shift_step(values, i, t)
+    return values
+
+
 def shift_packed(values: int, d: int, n: int) -> int:
     """Reindex a packed map by translation: output bit a = input bit (a + d)."""
     t = tables(n)
     validate_subset(d, n)
-    for i in bits_of(d):
-        off = 1 << i
-        low = t.bit_clear[i]
-        values = ((values & low) << off) | ((values >> off) & low)
-    return values
+    return _shift(values, d, t)
 
 
 def subset_sum_transform(values: int, n: int, direction: str) -> int:

@@ -24,12 +24,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import compress, repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionError, DomainError, ParseError
-from .functions import BooleanFunction, _from_packed, _packed, derivative_packed
+from .functions import BooleanFunction, _derivative, _from_packed, _packed
 from .gf2 import Gf2Matrix, mat_rank
 from .lattice import (
+    _shift,
+    _upset,
     bits_of,
     format_subset,
     parse_decimal,
@@ -106,9 +109,30 @@ class Digraph:
         return 0 <= c < size and 0 <= d < size and self.rows[c] >> d & 1 == 1
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
     """The edges (c, d) in mask order of c, then of d."""
-    return [(c, d) for c, row in enumerate(a.rows) for d in bits_of(row)]
+    size = len(a.rows)
+    spec = f"0{size}b"
+    positions: tuple[int, ...] = ()
+    pairs: list[tuple[int, int]] = []
+    for c, row in enumerate(a.rows):
+        if row.bit_count() <= 16 + (size >> 5):
+            while row:  # bits_of inlined: on a sparse row its generator costs more than the walk
+                low = row & -row
+                pairs.append((c, low.bit_length() - 1))
+                row ^= low
+        else:
+            # Byte d of the flags is bit d of the row.  Reading all 2^n of them
+            # at C speed beats walking the bits past about 16 + 2^n/32 set bits
+            # (measured at n = 3..10).  A tuple, not a range, so every edge
+            # shares one int object per d.
+            positions = positions or tuple(range(size))
+            flags = format(row, spec)[::-1].encode().translate(_BIT_FLAGS)
+            pairs.extend(zip(repeat(c), compress(positions, flags)))
+    return pairs
 
 
 def _cardlex_rows(a: Digraph) -> Iterator[tuple[int, list[int]]]:
@@ -217,22 +241,56 @@ def change_operator_basis(a: Digraph, source: Basis, target: Basis) -> Digraph:
     return Digraph(a.n, tuple(_hat_grid(grid, a.n, target)))
 
 
+def _apply_per_edge(a: Digraph, basis: Basis, u: int) -> int:
+    """The operator's image of the mask-packed map u, one row of edges at a time.
+
+    Row c XORs the images of u under its edges' shifts or derivatives, and
+    keeps them where its factor is 1: at c alone (ms, md) or on the up-set of
+    c (xs, xd).  The cost is about |A| * n/2 passes over 2^n-bit ints.
+    """
+    t = tables(a.n)
+    image = _shift if basis in _SHIFT_BASES else _derivative
+    point = basis in _POINT_BASES
+    out = 0
+    for c, row in enumerate(a.rows):
+        if row:
+            acc = 0
+            for d in bits_of(row):
+                acc ^= image(u, d, t)
+            out ^= acc & ((1 << c) if point else _upset(c, t))
+    return out
+
+
+def _apply_masked(a: Digraph, basis: Basis, u: int) -> int:
+    """The operator's image of u through its matrix: bit p is the parity of row p on u.
+
+    Building the mask-indexed matrix rows costs about 2^n * n operations on
+    2^n-bit ints, whatever the number of edges.
+    """
+    out = 0
+    for p, row in enumerate(_matrix_rows_masked(a, basis)):
+        out |= ((row & u).bit_count() & 1) << p
+    return out
+
+
+def _apply_route(a: Digraph) -> Callable[[Digraph, Basis, int], int]:
+    """The cheaper apply route for a, judged from its edge count alone.
+
+    Per-edge wins below about two edges per row: the measured crossover is
+    1.5-2.5 * 2^n edges across the four bases at n = 6, 8 and 10 (README).
+    """
+    edges = sum(r.bit_count() for r in a.rows)
+    return _apply_per_edge if edges < 2 << a.n else _apply_masked
+
+
 def apply_operator(a: Digraph, basis: Basis, f: BooleanFunction) -> BooleanFunction:
-    """Apply the operator encoded by a (read in ``basis``) to f."""
+    """Apply the operator encoded by a (read in ``basis``) to f.
+
+    Sparse operands go edge by edge, dense ones through the matrix rows.
+    """
     if a.n != f.n:
         raise DimensionError(f"operator on [{a.n}] applied to a function on [{f.n}]")
-    n = a.n
-    t = tables(n)
-    u = _packed(f)
-    out = 0
-    shift_family = basis in _SHIFT_BASES
-    point_family = basis in _POINT_BASES
-    for c, row in enumerate(a.rows):
-        mask = (1 << c) if point_family else t.upsets[c]
-        for d in bits_of(row):
-            w = shift_packed(u, d, n) if shift_family else derivative_packed(u, d, n)
-            out ^= w & mask
-    return _from_packed(n, out)
+    return _from_packed(a.n, _apply_route(a)(a, basis, _packed(f)))
 
 
 def operator_rank_profile(a: Digraph, basis: Basis) -> tuple[int, int, int]:

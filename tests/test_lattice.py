@@ -23,6 +23,7 @@ from booldiff import (
 from booldiff.lattice import (
     DEFAULT_N_MAX,
     ENV_N_MAX,
+    _upset,
     bits_of,
     is_subset,
     n_max,
@@ -164,7 +165,7 @@ def test_upsets_table_selects_supersets() -> None:
     t = tables(3)
     for c in range(8):
         for p in range(8):
-            assert t.upsets[c] >> p & 1 == (1 if is_subset(c, p) else 0)
+            assert _upset(c, t) >> p & 1 == (1 if is_subset(c, p) else 0)
 
 
 def test_validate_dimension_bounds() -> None:
