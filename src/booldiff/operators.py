@@ -116,20 +116,12 @@ def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
     """The edges (c, d) in mask order of c, then of d."""
     size = len(a.rows)
     spec = f"0{size}b"
-    positions: tuple[int, ...] = ()
+    # Byte d of a row's flags is bit d of the row.  A tuple, not a range, so
+    # every edge shares one int object per d.
+    positions = tuple(range(size))
     pairs: list[tuple[int, int]] = []
     for c, row in enumerate(a.rows):
-        if row.bit_count() <= 16 + (size >> 5):
-            while row:  # bits_of inlined: on a sparse row its generator costs more than the walk
-                low = row & -row
-                pairs.append((c, low.bit_length() - 1))
-                row ^= low
-        else:
-            # Byte d of the flags is bit d of the row.  Reading all 2^n of them
-            # at C speed beats walking the bits past about 16 + 2^n/32 set bits
-            # (measured at n = 3..10).  A tuple, not a range, so every edge
-            # shares one int object per d.
-            positions = positions or tuple(range(size))
+        if row:
             flags = format(row, spec)[::-1].encode().translate(_BIT_FLAGS)
             pairs.extend(zip(repeat(c), compress(positions, flags)))
     return pairs

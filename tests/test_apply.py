@@ -86,7 +86,7 @@ def test_edge_pairs_match_the_bit_definition() -> None:
     for n in range(7):
         size = 1 << n
         full = (1 << size) - 1
-        # Every density, so rows fall on both sides of the sparse-row switch.
+        # Every density, from empty and one-bit rows to full ones.
         rows = [0, full, 1, 1 << (size - 1)] + [
             sum(1 << b for b in rng.sample(range(size), k)) for k in range(size + 1)
         ]
