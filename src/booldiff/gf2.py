@@ -7,7 +7,8 @@ word-parallel operation; bit j of row i is entry (i, j).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import xor
+from typing import Callable, Iterable, Sequence
 
 from .errors import DimensionError, DomainError, ParseError
 from .lattice import parse_decimal
@@ -106,7 +107,7 @@ def mat_add(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
     return Gf2Matrix.from_packed_rows(a.rows, a.cols, [x ^ y for x, y in zip(a.packed_rows(), b.packed_rows())])
 
 
-def _mul_rows(rows_a: Sequence[int], rows_b: Sequence[int]) -> list[int]:
+def _mul_rows_plain(rows_a: Sequence[int], rows_b: Sequence[int]) -> list[int]:
     # Row-by-row XOR accumulation: out[i] = XOR of rows_b[k] over set bits k of rows_a[i].
     out = []
     for ra in rows_a:
@@ -117,6 +118,47 @@ def _mul_rows(rows_a: Sequence[int], rows_b: Sequence[int]) -> list[int]:
             ra ^= low
         out.append(acc)
     return out
+
+
+def _mul_rows_four_russians(rows_a: Sequence[int], rows_b: Sequence[int]) -> list[int]:
+    """Method of Four Russians with blocks of k = 8 rows of B.
+
+    Each block's 2^8 XOR combinations are tabulated by doubling, and every
+    output row takes one lookup per block, indexed by byte j of its row of A
+    (bits 8j .. 8j + 7).  A short last block yields a shorter table, which is
+    enough because bits of A beyond ``len(rows_b)`` are zero.
+    """
+    width = (len(rows_b) + 7) // 8
+    # Byte j of every row of A, in row order, is the slice packed[j::width].
+    packed = b"".join([ra.to_bytes(width, "little") for ra in rows_a])
+    out = [0] * len(rows_a)
+    for j in range(width):
+        table = [0]
+        for rb in rows_b[8 * j : 8 * j + 8]:
+            table += [t ^ rb for t in table]
+        out = list(map(xor, out, map(table.__getitem__, packed[j::width])))
+    return out
+
+
+def _mul_kernel(rows_a: Sequence[int], rows_b: Sequence[int]) -> Callable[..., list[int]]:
+    """The cheaper kernel for A * B, judged from the popcount of A.
+
+    The plain kernel costs one row XOR per set bit of A; Four Russians costs
+    ceil(m / 8) * (2^8 + rows of A) table entries and lookups for m rows of B.
+    A set bit of A costs about three of those (README, "Multiplying
+    operators"), and below 64 rows of B Four Russians never won.
+    """
+    if len(rows_b) < 64:
+        return _mul_rows_plain
+    blocks = (len(rows_b) + 7) // 8
+    if 3 * sum(map(int.bit_count, rows_a)) <= blocks * (256 + len(rows_a)):
+        return _mul_rows_plain
+    return _mul_rows_four_russians
+
+
+def _mul_rows(rows_a: Sequence[int], rows_b: Sequence[int]) -> list[int]:
+    """Rows of A * B over GF(2): out[i] = XOR of rows_b[k] over set bits k of rows_a[i]."""
+    return _mul_kernel(rows_a, rows_b)(rows_a, rows_b)
 
 
 def mat_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:

@@ -22,22 +22,23 @@ appears only on the public Gf2Matrix boundary and in text formats.
 from __future__ import annotations
 
 import enum
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionError, DomainError, ParseError
 from .functions import BooleanFunction, _derivative, _from_packed, _packed
 from .gf2 import Gf2Matrix, mat_rank
 from .lattice import (
+    LatticeTables,
     _shift,
     _upset,
     bits_of,
     format_subset,
     parse_decimal,
     parse_subset,
-    shift_packed,
     tables,
     validate_dimension,
     validate_subset,
@@ -100,31 +101,74 @@ class Digraph:
         return cls(n, (0,) * (1 << n))
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The edge set (c, d), derived from ``rows``."""
-        return frozenset(_edge_pairs(self))
+    def edges(self) -> EdgeSet:
+        """The edge set (c, d), read from ``rows`` on demand."""
+        return EdgeSet(self.rows)
 
     def contains(self, c: int, d: int) -> bool:
         size = len(self.rows)
         return 0 <= c < size and 0 <= d < size and self.rows[c] >> d & 1 == 1
 
 
+class EdgeSet(Set):
+    """The edges (c, d) of a digraph: a read-only set view of its row grid.
+
+    It stores no pairs.  Iteration decodes the rows in mask order of c, then
+    of d; ``len`` and ``in`` read the bits.  It compares and hashes like the
+    ``frozenset`` of its pairs, and set operations return a ``frozenset``.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: tuple[int, ...]) -> None:
+        self._rows = rows
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return _iter_edges(self._rows)
+
+    def __len__(self) -> int:
+        return sum(map(int.bit_count, self._rows))
+
+    def __contains__(self, edge: object) -> bool:
+        if not isinstance(edge, tuple) or len(edge) != 2:
+            return False
+        c, d = edge
+        size = len(self._rows)
+        return (
+            isinstance(c, int) and isinstance(d, int)
+            and 0 <= c < size and 0 <= d < size and self._rows[c] >> d & 1 == 1
+        )
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"EdgeSet({list(self)!r})"
+
+
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
-    """The edges (c, d) in mask order of c, then of d."""
-    size = len(a.rows)
+def _iter_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """The edges (c, d) of a row grid in mask order of c, then of d."""
+    size = len(rows)
     spec = f"0{size}b"
     # Byte d of a row's flags is bit d of the row.  A tuple, not a range, so
     # every edge shares one int object per d.
     positions = tuple(range(size))
-    pairs: list[tuple[int, int]] = []
-    for c, row in enumerate(a.rows):
-        if row:
-            flags = format(row, spec)[::-1].encode().translate(_BIT_FLAGS)
-            pairs.extend(zip(repeat(c), compress(positions, flags)))
-    return pairs
+    return chain.from_iterable(
+        zip(repeat(c), compress(positions, format(row, spec)[::-1].encode().translate(_BIT_FLAGS)))
+        for c, row in enumerate(rows)
+        if row
+    )
+
+
+def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
+    """The edges (c, d) in mask order of c, then of d."""
+    return list(_iter_edges(a.rows))
 
 
 def _cardlex_rows(a: Digraph) -> Iterator[tuple[int, list[int]]]:
@@ -182,15 +226,18 @@ def _hat_grid(rows: list[int], n: int, basis: Basis) -> list[int]:
     return rows
 
 
+def _shift_rows(rows: list[int], t: LatticeTables) -> list[int]:
+    # Row p shifted along p (an involution); zero rows stay zero unshifted.
+    return [_shift(row, p, t) if row else 0 for p, row in enumerate(rows)]
+
+
 def _matrix_rows_masked(a: Digraph, basis: Basis) -> list[int]:
     # Mask-indexed matrix of the operator: entry (p, q) = ms-coefficient (p, p + q).
-    rows = _hat_grid(list(a.rows), a.n, basis)
-    return [shift_packed(rows[p], p, a.n) for p in range(1 << a.n)]
+    return _shift_rows(_hat_grid(list(a.rows), a.n, basis), tables(a.n))
 
 
 def _digraph_from_masked_rows(n: int, rows: list[int], basis: Basis) -> Digraph:
-    grid = [shift_packed(rows[p], p, n) for p in range(1 << n)]
-    return Digraph(n, tuple(_hat_grid(grid, n, basis)))
+    return Digraph(n, tuple(_hat_grid(_shift_rows(rows, tables(n)), n, basis)))
 
 
 def operator_matrix(a: Digraph, basis: Basis) -> Gf2Matrix:
@@ -362,30 +409,35 @@ def parse_digraph(text: str) -> Digraph:
     """Parse the text form; duplicate edges are an error, comments allowed.
 
     A line in the canonical form ``format_digraph`` writes is two table
-    lookups; any other line goes through the full syntax of ``parse_subset``.
+    lookups; any other line is stripped and goes through the full syntax of
+    ``parse_subset``.
     """
     n: int | None = None
     rows: list[int] = []
+    bits: tuple[int, ...] = ()
     masks: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if n is None:
-            n = parse_decimal(line)
-            if n is None:
-                raise ParseError(f"expected the dimension n, got {line!r}", lineno)
-            validate_dimension(n)
-            rows = [0] * (1 << n)
-            masks = _subset_names(n)[2]
-            continue
-        c_name, _, d_name = line.partition(" ")
+        # Canonical names hold no whitespace, so a hit means raw is already stripped.
+        c_name, _, d_name = raw.partition(" ")
         c, d = masks.get(c_name), masks.get(d_name)
         if c is None or d is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if n is None:
+                n = parse_decimal(line)
+                if n is None:
+                    raise ParseError(f"expected the dimension n, got {line!r}", lineno)
+                validate_dimension(n)
+                rows = [0] * (1 << n)
+                bits = tuple(1 << k for k in range(1 << n))
+                masks = _subset_names(n)[2]
+                continue
             c, d = _parse_edge(line, n, lineno)
-        if rows[c] >> d & 1:
-            raise ParseError(f"duplicate edge {line!r}", lineno)
-        rows[c] |= 1 << d
+        bit = bits[d]
+        if rows[c] & bit:
+            raise ParseError(f"duplicate edge {raw.strip()!r}", lineno)
+        rows[c] |= bit
     if n is None:
         raise ParseError("missing dimension line")
     return Digraph(n, tuple(rows))

@@ -169,3 +169,23 @@ def random_matrix(rng: random.Random, rows: int, cols: int) -> Gf2Matrix:
     return Gf2Matrix.from_packed_rows(
         rows, cols, [rng.getrandbits(cols) for _ in range(rows)]
     )
+
+
+def naive_mul(rows_a: list[int], rows_b: list[int], cols: int) -> list[int]:
+    """Packed rows of A * B entry by entry: (i, j) is the parity of row i of A AND column j of B."""
+    columns = [sum((rb >> j & 1) << k for k, rb in enumerate(rows_b)) for j in range(cols)]
+    return [
+        sum(((ra & col).bit_count() & 1) << j for j, col in enumerate(columns)) for ra in rows_a
+    ]
+
+
+def row_xor_mul(rows_a: list[int], rows_b: list[int]) -> list[int]:
+    """Packed rows of A * B: row i XORs row k of B for every set bit k of row i of A."""
+    out = []
+    for ra in rows_a:
+        acc = 0
+        for k, rb in enumerate(rows_b):
+            if ra >> k & 1:
+                acc ^= rb
+        out.append(acc)
+    return out

@@ -12,6 +12,7 @@ from booldiff import lattice
 from booldiff.functions import _from_packed, _packed, derivative_packed
 from booldiff.lattice import bits_of
 from booldiff.operators import _apply_masked, _apply_per_edge, _apply_route, _edge_pairs
+from booldiff.products import matrix_route_product
 
 from helpers import iterated_difference, pointwise_apply, random_function
 
@@ -151,3 +152,7 @@ def test_validation_calls_do_not_grow_with_the_operand(basis: Basis, validate_su
     for route in ROUTES:
         counts = {count(lambda: route(a, basis, u)) for a in (one, dense, full)}
         assert len(counts) == 1, (route.__name__, counts)
+    # The matrix route shifts every non-zero row; its count must not follow
+    # the operands' density, and so not the number of rows it shifts.
+    counts = {count(lambda: matrix_route_product(a, a, basis)) for a in (one, dense, full)}
+    assert len(counts) == 1, counts

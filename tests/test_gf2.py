@@ -20,8 +20,9 @@ from booldiff import (
     mat_transpose,
     parse_matrix,
 )
+from booldiff.gf2 import _mul_kernel, _mul_rows_four_russians, _mul_rows_plain
 
-from helpers import naive_rank, random_matrix
+from helpers import naive_mul, naive_rank, random_matrix, row_xor_mul
 
 
 def test_bitvector_round_trip() -> None:
@@ -86,6 +87,50 @@ def test_mul_matches_schoolbook_product() -> None:
                 assert p.entry(i, j) == want
     with pytest.raises(DimensionError):
         mat_mul(random_matrix(rng, 2, 3), random_matrix(rng, 2, 3))
+
+
+def _operand(rng: random.Random, kind: str, rows: int, cols: int) -> list[int]:
+    if kind == "dense":
+        return [rng.getrandbits(cols) for _ in range(rows)]
+    if kind == "one-bit":
+        return [1 << rng.randrange(cols) for _ in range(rows)]
+    if kind == "empty":
+        return [0] * rows
+    return [1 << i if i < cols else 0 for i in range(rows)]  # identity, cut to the shape
+
+
+KINDS = ["dense", "one-bit", "empty", "identity"]
+# 257 rows of B leave Four Russians a last block of one row.
+SHAPES = [(64, 64, 64), (100, 257, 70), (256, 256, 256)]
+
+
+@pytest.mark.parametrize("kernel", [_mul_rows_plain, _mul_rows_four_russians], ids=lambda k: k.__name__)
+@pytest.mark.parametrize(("rows", "inner", "cols"), SHAPES)
+def test_both_kernels_match_the_entrywise_product(kernel, rows: int, inner: int, cols: int) -> None:
+    rng = random.Random(0xC009)
+    pairs = [(kind, "dense") for kind in KINDS] + [("dense", kind) for kind in KINDS]
+    for kind_a, kind_b in pairs:
+        a = _operand(rng, kind_a, rows, inner)
+        b = _operand(rng, kind_b, inner, cols)
+        assert kernel(a, b) == naive_mul(a, b, cols), (kind_a, kind_b)
+
+
+def test_kernel_choice_follows_the_left_popcount() -> None:
+    rng = random.Random(0xC00A)
+    dense = _operand(rng, "dense", 1024, 1024)
+    one_bit = _operand(rng, "one-bit", 1024, 1024)
+    assert _mul_kernel(dense, dense) is _mul_rows_four_russians
+    assert _mul_kernel(one_bit, dense) is _mul_rows_plain
+    # Below 64 rows of B the plain kernel runs, however dense and tall A is.
+    assert _mul_kernel(_operand(rng, "dense", 4096, 63), _operand(rng, "dense", 63, 1024)) is _mul_rows_plain
+
+
+def test_mat_mul_through_four_russians_matches_the_row_oracle() -> None:
+    rng = random.Random(0xC00B)
+    a = random_matrix(rng, 1024, 1024)
+    b = random_matrix(rng, 1024, 1024)
+    assert _mul_kernel(a.packed_rows(), b.packed_rows()) is _mul_rows_four_russians
+    assert mat_mul(a, b).packed_rows() == row_xor_mul(a.packed_rows(), b.packed_rows())
 
 
 def test_identity_is_neutral_for_mul() -> None:

@@ -28,6 +28,7 @@ from booldiff import (
     parse_digraph,
     sorted_edges,
 )
+from booldiff.lattice import bits_of
 
 from helpers import (
     closed_form_digraph,
@@ -251,6 +252,24 @@ def test_digraph_validates_its_edges() -> None:
         Digraph(1, (-1, 0))
     a = random_digraph(random.Random(0xE0D6), 3)
     assert Digraph.from_edges(a.n, a.edges) == a
+
+
+def test_edge_view_behaves_like_the_frozenset_of_its_pairs() -> None:
+    rng = random.Random(0xE0D7)
+    for n in range(4):
+        size = 1 << n
+        for a in (Digraph.empty(n), random_digraph(rng, n), Digraph(n, ((1 << size) - 1,) * size)):
+            want = frozenset((c, d) for c in range(size) for d in bits_of(a.rows[c]))
+            edges = a.edges
+            assert edges == want and want == edges and edges != want | {(size, 0)}
+            assert hash(edges) == hash(want) and len(edges) == len(want)
+            assert list(edges) == sorted(want)  # mask order of c, then of d
+            probes = [(c, d) for c in range(-1, size + 1) for d in range(-1, size + 1)]
+            for probe in [*probes, (0,), (0, 0, 0), "ab", None]:
+                assert (probe in edges) == (probe in want), probe
+            union = edges | {(0, 0)}
+            assert type(union) is frozenset and union == want | {(0, 0)}
+            assert edges & want == want and not edges - want
 
 
 def test_basis_from_string() -> None:

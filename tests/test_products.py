@@ -25,6 +25,8 @@ from booldiff import (
     star_product,
     star_single_edge,
 )
+from booldiff.gf2 import _mul_kernel, _mul_rows_four_russians
+from booldiff.operators import _matrix_rows_masked
 from booldiff.products import digraph_label, enumerate_all_digraphs, matrix_route_product
 
 from helpers import random_digraph
@@ -42,6 +44,28 @@ def test_direct_and_matrix_routes_agree(basis: Basis) -> None:
             direct = product(a, b, basis, route="direct")
             assert direct == matrix_route_product(a, b, basis)
             assert direct == product(a, b, basis, route="auto")
+
+
+@pytest.mark.parametrize("basis", ALL_BASES)
+def test_routes_agree_on_every_pair_of_single_edges(basis: Basis) -> None:
+    # Both routes are bilinear, and single edges span the digraphs, so this
+    # decides agreement on every pair of operands at n <= 3.
+    for n in range(4):
+        size = 1 << n
+        edges = [Digraph.from_edges(n, [(c, d)]) for c in range(size) for d in range(size)]
+        for a in edges:
+            for b in edges:
+                assert product(a, b, basis, route="direct") == matrix_route_product(a, b, basis)
+
+
+def test_star_product_agrees_with_the_four_russians_matrix_route() -> None:
+    rng = random.Random(0xF00D)
+    for n in (7, 8):
+        size = 1 << n
+        a, b = (Digraph(n, tuple(rng.getrandbits(size) for _ in range(size))) for _ in range(2))
+        rows_a, rows_b = _matrix_rows_masked(a, Basis.MS), _matrix_rows_masked(b, Basis.MS)
+        assert _mul_kernel(rows_a, rows_b) is _mul_rows_four_russians, n
+        assert star_product(a, b) == matrix_route_product(a, b, Basis.MS), n
 
 
 @pytest.mark.parametrize("basis", ALL_BASES)
