@@ -9,9 +9,9 @@ from pathlib import Path
 from .errors import CapacityError, DimensionError, DomainError, ParseError
 from .functions import format_bf, parse_bf
 from .gf2 import format_matrix, parse_matrix
-from .lattice import tables
 from .operators import (
     Basis,
+    _cardlex_rows,
     apply_operator,
     change_operator_basis,
     format_digraph,
@@ -20,7 +20,6 @@ from .operators import (
     operator_matrix,
     operator_rank_profile,
     parse_digraph,
-    sorted_edges,
 )
 from .products import jordan_digraph, multiplication_table, product
 
@@ -107,9 +106,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     lines = ["x\ty\tmarker"]
 
     def rows(g, marker):
-        index = tables(g.n).index
-        for c, d in sorted_edges(g):
-            lines.append(f"{index[c]}\t{index[d]}\t{marker}")
+        for i, _, js in _cardlex_rows(g):
+            lines.extend(f"{i}\t{j}\t{marker}" for j in js)
 
     if args.b is None:
         rows(a, "point")

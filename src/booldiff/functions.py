@@ -1,12 +1,16 @@
 """Boolean functions Z_2^n -> Z_2 with their two natural bases and calculus.
 
-A function is stored by its truth vector in card-lex order (bit at position
-``index_of(b, n)`` is f(b)).  The point basis m^a is the indicator of the
-single subset a; the up-set basis x^a is the indicator of all supersets of a.
-The shift s^d translates the argument by d (symmetric difference), and the
-derivative along d is the alternating sum of shifts over subsets of d.  Over
-Z2 that sum factors as del^d = prod over i in d of (1 + s^{i}), so a
-derivative takes |d| shift-XOR passes rather than 2^|d| shifts.
+A function is stored mask-packed: bit b of ``values`` is f(b), the layout of
+every transform here.  Card-lex order appears only at the boundary: the
+truth vector (``from_truth``, ``.truth``) and the text form (``parse_bf``,
+``format_bf``).
+
+The point basis m^a is the indicator of the single subset a; the up-set
+basis x^a is the indicator of all supersets of a.  The shift s^d translates
+the argument by d (symmetric difference), and the derivative along d is the
+alternating sum of shifts over subsets of d.  Over Z2 that sum factors as
+del^d = prod over i in d of (1 + s^{i}), so a derivative takes |d|
+shift-XOR passes rather than 2^|d| shifts.
 """
 
 from __future__ import annotations
@@ -31,86 +35,76 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class BooleanFunction:
-    """A map P[n] -> Z2; ``truth`` is card-lex indexed."""
+    """A map P[n] -> Z2; bit a of ``values`` is f(a)."""
 
     n: int
-    truth: BitVector
+    values: int
 
     def __post_init__(self) -> None:
         validate_dimension(self.n)
-        if self.truth.length != 1 << self.n:
-            raise DomainError(f"truth vector of length {self.truth.length} for n={self.n}")
+        size = 1 << self.n
+        if not isinstance(self.values, int) or self.values < 0 or self.values >> size:
+            raise DomainError(f"values of a function on [{self.n}] must be an int of {size} bits")
 
     @classmethod
     def from_truth(cls, n: int, bits: list[int] | tuple[int, ...]) -> BooleanFunction:
-        return cls(n, BitVector.from_bits(bits))
+        """The function whose card-lex truth vector is ``bits``."""
+        truth = BitVector.from_bits(bits)
+        if truth.length != 1 << validate_dimension(n):
+            raise DomainError(f"truth vector of length {truth.length} for n={n}")
+        return cls(n, tables(n).to_mask(truth.bits))
 
     @classmethod
     def zero(cls, n: int) -> BooleanFunction:
-        validate_dimension(n)
-        return cls(n, BitVector(1 << n, 0))
+        return cls(n, 0)
 
     @classmethod
     def one(cls, n: int) -> BooleanFunction:
         validate_dimension(n)
-        size = 1 << n
-        return cls(n, BitVector(size, (1 << size) - 1))
+        return cls(n, (1 << (1 << n)) - 1)
+
+    @property
+    def truth(self) -> BitVector:
+        """The truth vector, card-lex indexed: entry k is f(subset_of(k, n))."""
+        t = tables(self.n)
+        return BitVector(t.size, t.to_cardlex(self.values))
 
     def value_at(self, s: int) -> int:
         """f(s) for a subset mask s."""
-        t = tables(self.n)
         validate_subset(s, self.n)
-        return self.truth.bits >> t.index[s] & 1
-
-
-def _packed(f: BooleanFunction) -> int:
-    # Reindex the truth vector from card-lex positions to mask positions.
-    t = tables(f.n)
-    bits = f.truth.bits
-    out = 0
-    for m in range(t.size):
-        out |= (bits >> t.index[m] & 1) << m
-    return out
-
-
-def _from_packed(n: int, packed: int) -> BooleanFunction:
-    t = tables(n)
-    bits = 0
-    for m in range(t.size):
-        bits |= (packed >> m & 1) << t.index[m]
-    return BooleanFunction(n, BitVector(t.size, bits))
+        return self.values >> s & 1
 
 
 def m_basis(a: int, n: int) -> BooleanFunction:
     """The point-mass function m^a: 1 exactly on the subset a."""
     validate_subset(a, n)
-    return _from_packed(n, 1 << a)
+    return BooleanFunction(n, 1 << a)
 
 
 def x_basis(a: int, n: int) -> BooleanFunction:
     """The up-set function x^a: 1 exactly on supersets of a."""
     t = tables(n)
     validate_subset(a, n)
-    return _from_packed(n, _upset(a, t))
+    return BooleanFunction(n, _upset(a, t))
 
 
 def bf_add(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     """Pointwise XOR."""
     if f.n != g.n:
         raise DimensionError(f"cannot add functions on [{f.n}] and [{g.n}]")
-    return BooleanFunction(f.n, BitVector(f.truth.length, f.truth.bits ^ g.truth.bits))
+    return BooleanFunction(f.n, f.values ^ g.values)
 
 
 def bf_mul(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
     """Pointwise AND."""
     if f.n != g.n:
         raise DimensionError(f"cannot multiply functions on [{f.n}] and [{g.n}]")
-    return BooleanFunction(f.n, BitVector(f.truth.length, f.truth.bits & g.truth.bits))
+    return BooleanFunction(f.n, f.values & g.values)
 
 
 def shift(f: BooleanFunction, d: int) -> BooleanFunction:
     """(s^d f)(a) = f(a + d)."""
-    return _from_packed(f.n, shift_packed(_packed(f), d, f.n))
+    return BooleanFunction(f.n, shift_packed(f.values, d, f.n))
 
 
 def _derivative(values: int, d: int, t: LatticeTables) -> int:
@@ -137,33 +131,27 @@ def derivative(f: BooleanFunction, d: int) -> BooleanFunction:
     Equivalently the product of the single-coordinate differences 1 + s^{i}
     over the elements i of d, which is how it is computed.
     """
-    return _from_packed(f.n, derivative_packed(_packed(f), d, f.n))
+    return BooleanFunction(f.n, derivative_packed(f.values, d, f.n))
 
 
 def m_coeffs(f: BooleanFunction) -> int:
     """Coefficients of f in the point basis, packed by mask (= the values)."""
-    return _packed(f)
+    return f.values
 
 
 def x_coeffs(f: BooleanFunction) -> int:
     """Coefficients of f in the up-set basis, packed by mask."""
-    return subset_sum_transform(_packed(f), f.n, "down")
+    return subset_sum_transform(f.values, f.n, "down")
 
 
 def from_m_coeffs(n: int, coeffs: int) -> BooleanFunction:
     """Assemble XOR of m^a over the set bits of the mask-packed coeffs."""
-    t = tables(n)
-    if coeffs < 0 or coeffs >> t.size:
-        raise DomainError(f"coefficient map does not fit in {t.size} bits")
-    return _from_packed(n, coeffs)
+    return BooleanFunction(n, coeffs)
 
 
 def from_x_coeffs(n: int, coeffs: int) -> BooleanFunction:
     """Assemble XOR of x^a over the set bits of the mask-packed coeffs."""
-    t = tables(n)
-    if coeffs < 0 or coeffs >> t.size:
-        raise DomainError(f"coefficient map does not fit in {t.size} bits")
-    return _from_packed(n, subset_sum_transform(coeffs, n, "down"))
+    return BooleanFunction(n, subset_sum_transform(coeffs, n, "down"))
 
 
 def change_function_basis(coeffs: int, n: int, direction: str) -> int:
@@ -185,7 +173,7 @@ def format_bf(f: BooleanFunction) -> str:
 def parse_bf(text: str) -> BooleanFunction:
     """Parse the text form; '#' lines are comments, blank lines are skipped."""
     n: int | None = None
-    truth: BitVector | None = None
+    truth: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -200,7 +188,7 @@ def parse_bf(text: str) -> BooleanFunction:
             raise ParseError("unexpected extra data line", lineno)
         if len(line) != 1 << n or set(line) - {"0", "1"}:
             raise ParseError(f"expected {1 << n} chars of 0/1, got {line!r}", lineno)
-        truth = BitVector(len(line), int(line[::-1], 2))
+        truth = int(line[::-1], 2)
     if n is None or truth is None:
         raise ParseError("truncated function file")
-    return BooleanFunction(n, truth)
+    return BooleanFunction(n, tables(n).to_mask(truth))

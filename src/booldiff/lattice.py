@@ -4,25 +4,26 @@ A subset of [n] = {1, ..., n} is an int whose bit (i - 1) is set exactly when
 element i is present, so {1, 3} is 0b101.  The sum a + b used throughout this
 package is the symmetric difference, i.e. XOR on masks.
 
-Two indexings of P[n] coexist, and silently mixing them is the main hazard in
-this code base:
+A map P[n] -> Z2 is stored mask-packed: a (2**n)-bit int whose bit at position
+``mask`` holds the value on that subset.  Functions, digraph rows and every
+transform in the package use that layout.
 
-* mask indexing -- a map P[n] -> Z2 is packed into a (2**n)-bit int whose bit
-  at position ``mask`` holds the value on that subset.  Every transform in
-  this module works in that layout.
-* card-lex indexing -- subsets ordered by cardinality, ties broken by
-  comparing increasing element sequences lexicographically, e.g. for n = 4:
-  {} < {1} < {2} < {3} < {4} < {1,2} < {1,3} < {1,4} < {2,3} < ...
-  Text formats, truth vectors and matrix axes use card-lex positions;
-  ``index_of`` / ``subset_of`` convert.
+Card-lex order -- subsets ordered by cardinality, ties broken by comparing
+increasing element sequences lexicographically, e.g. for n = 4:
+{} < {1} < {2} < {3} < {4} < {1,2} < {1,3} < {1,4} < {2,3} < ... -- appears
+only at the boundary: text formats, truth vectors and matrix axes.  The
+tables' ``to_cardlex`` / ``to_mask`` permute a packed map between the two
+layouts, and ``index_of`` / ``subset_of`` convert single positions.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import combinations
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError, ParseError
 
@@ -116,7 +117,9 @@ class LatticeTables:
 
     ``order[k]`` is the mask at card-lex position k; ``index[mask]`` inverts it.
     ``bit_set[i]`` / ``bit_clear[i]`` are (2**n)-bit patterns selecting packed
-    positions whose mask has bit i set / clear.
+    positions whose mask has bit i set / clear.  ``to_cardlex`` repacks a
+    mask-packed map in card-lex order (bit k of the result is bit ``order[k]``
+    of the argument), and ``to_mask`` undoes it.
     """
 
     n: int
@@ -125,12 +128,29 @@ class LatticeTables:
     index: tuple[int, ...]
     bit_set: tuple[int, ...]
     bit_clear: tuple[int, ...]
+    to_cardlex: Callable[[int], int] = field(compare=False, repr=False)
+    to_mask: Callable[[int], int] = field(compare=False, repr=False)
+
+
+def _bit_permutation(source: Sequence[int]) -> Callable[[int], int]:
+    """The map sending a packed int to the int whose bit k is its bit ``source[k]``."""
+    spec = f"0{len(source)}b"
+    # At one bit the getter returns the character itself, which join accepts.
+    pick = itemgetter(*source)
+
+    def permute(bits: int) -> int:
+        return int("".join(pick(format(bits, spec)[::-1]))[::-1], 2)
+
+    return permute
 
 
 @lru_cache(maxsize=None)
 def _tables(n: int) -> LatticeTables:
     size = 1 << n
-    order = tuple(sorted(range(size), key=lambda m: (m.bit_count(), elements(m))))
+    # combinations() yields each size's subsets in lexicographic element order.
+    order = tuple(
+        sum(1 << i for i in combo) for k in range(n + 1) for combo in combinations(range(n), k)
+    )
     index = [0] * size
     for k, m in enumerate(order):
         index[m] = k
@@ -143,7 +163,8 @@ def _tables(n: int) -> LatticeTables:
                 pat |= 1 << p
         bit_set.append(pat)
     bit_clear = tuple(full ^ pat for pat in bit_set)
-    return LatticeTables(n, size, order, tuple(index), tuple(bit_set), bit_clear)
+    return LatticeTables(n, size, order, tuple(index), tuple(bit_set), bit_clear,
+                         _bit_permutation(order), _bit_permutation(index))
 
 
 def tables(n: int) -> LatticeTables:

@@ -16,7 +16,8 @@ directions are closed-form subset sums and invert each other exactly.
 A ``Digraph`` stores only its mask-indexed row grid ``rows`` (bit d of row c
 is the edge (c, d)), which is also the layout every transform here works on;
 the edge set ``edges`` is derived from it on demand.  Card-lex indexing
-appears only on the public Gf2Matrix boundary and in text formats.
+appears only on the public Gf2Matrix boundary and in text formats, through
+the lattice tables' bit permutations and ``_cardlex_rows``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import chain, compress, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import DimensionError, DomainError, ParseError
-from .functions import BooleanFunction, _derivative, _from_packed, _packed
+from .functions import BooleanFunction, _derivative
 from .gf2 import Gf2Matrix, mat_rank
 from .lattice import (
     LatticeTables,
@@ -105,10 +106,6 @@ class Digraph:
         """The edge set (c, d), read from ``rows`` on demand."""
         return EdgeSet(self.rows)
 
-    def contains(self, c: int, d: int) -> bool:
-        size = len(self.rows)
-        return 0 <= c < size and 0 <= d < size and self.rows[c] >> d & 1 == 1
-
 
 class EdgeSet(Set):
     """The edges (c, d) of a digraph: a read-only set view of its row grid.
@@ -152,17 +149,20 @@ class EdgeSet(Set):
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _set_bits(row: int, spec: str, positions: tuple[int, ...]) -> Iterator[int]:
+    """The set bits of row, ascending, as items of ``positions``; spec is f"0{size}b"."""
+    # Byte d of the flags is bit d of the row.
+    return compress(positions, format(row, spec)[::-1].encode().translate(_BIT_FLAGS))
+
+
 def _iter_edges(rows: tuple[int, ...]) -> Iterator[tuple[int, int]]:
     """The edges (c, d) of a row grid in mask order of c, then of d."""
     size = len(rows)
     spec = f"0{size}b"
-    # Byte d of a row's flags is bit d of the row.  A tuple, not a range, so
-    # every edge shares one int object per d.
+    # A tuple, not a range, so every edge shares one int object per d.
     positions = tuple(range(size))
     return chain.from_iterable(
-        zip(repeat(c), compress(positions, format(row, spec)[::-1].encode().translate(_BIT_FLAGS)))
-        for c, row in enumerate(rows)
-        if row
+        zip(repeat(c), _set_bits(row, spec, positions)) for c, row in enumerate(rows) if row
     )
 
 
@@ -171,20 +171,22 @@ def _edge_pairs(a: Digraph) -> list[tuple[int, int]]:
     return list(_iter_edges(a.rows))
 
 
-def _cardlex_rows(a: Digraph) -> Iterator[tuple[int, list[int]]]:
-    """(c, the card-lex positions of d for the edges (c, d)) per non-empty row, c card-lex."""
+def _cardlex_rows(a: Digraph) -> Iterator[tuple[int, int, Iterator[int]]]:
+    """(card-lex position of c, c, the ascending card-lex positions of d over
+    the edges (c, d)) per non-empty row, c card-lex."""
     t = tables(a.n)
-    index = t.index.__getitem__
-    for c in t.order:
+    spec = f"0{t.size}b"
+    positions = tuple(range(t.size))
+    for i, c in enumerate(t.order):
         row = a.rows[c]
         if row:
-            yield c, sorted(map(index, bits_of(row)))
+            yield i, c, _set_bits(t.to_cardlex(row), spec, positions)
 
 
 def sorted_edges(a: Digraph) -> list[tuple[int, int]]:
     """Edges ordered by (index_of(c), index_of(d))."""
     order = tables(a.n).order
-    return [(c, order[k]) for c, ks in _cardlex_rows(a) for k in ks]
+    return [(c, order[k]) for _, c, ks in _cardlex_rows(a) for k in ks]
 
 
 def identity_digraph(n: int, basis: Basis) -> Digraph:
@@ -244,14 +246,8 @@ def operator_matrix(a: Digraph, basis: Basis) -> Gf2Matrix:
     """The 2^n x 2^n matrix (card-lex axes) of the operator a encodes."""
     t = tables(a.n)
     masked = _matrix_rows_masked(a, basis)
-    out = [0] * t.size
-    for p in range(t.size):
-        r = masked[p]
-        packed = 0
-        for q in bits_of(r):
-            packed |= 1 << t.index[q]
-        out[t.index[p]] = packed
-    return Gf2Matrix.from_packed_rows(t.size, t.size, out)
+    rows = [t.to_cardlex(masked[p]) for p in t.order]
+    return Gf2Matrix.from_packed_rows(t.size, t.size, rows)
 
 
 def operator_digraph(m: Gf2Matrix, basis: Basis) -> Digraph:
@@ -264,11 +260,8 @@ def operator_digraph(m: Gf2Matrix, basis: Basis) -> Digraph:
     n = size.bit_length() - 1
     t = tables(n)
     masked = [0] * size
-    for i, row in enumerate(m.packed_rows()):
-        packed = 0
-        for j in bits_of(row):
-            packed |= 1 << t.order[j]
-        masked[t.order[i]] = packed
+    for p, row in zip(t.order, m.packed_rows()):
+        masked[p] = t.to_mask(row)
     return _digraph_from_masked_rows(n, masked, basis)
 
 
@@ -329,7 +322,7 @@ def apply_operator(a: Digraph, basis: Basis, f: BooleanFunction) -> BooleanFunct
     """
     if a.n != f.n:
         raise DimensionError(f"operator on [{a.n}] applied to a function on [{f.n}]")
-    return _from_packed(a.n, _apply_route(a)(a, basis, _packed(f)))
+    return BooleanFunction(a.n, _apply_route(a)(a, basis, f.values))
 
 
 def operator_rank_profile(a: Digraph, basis: Basis) -> tuple[int, int, int]:
@@ -389,7 +382,7 @@ def format_digraph(a: Digraph) -> str:
     """Canonical text form: n, then one "<c> <d>" line per edge, sorted."""
     names, cardlex_names, _ = _subset_names(a.n)
     lines = [str(a.n)]
-    for c, ks in _cardlex_rows(a):
+    for _, c, ks in _cardlex_rows(a):
         lines.extend(map(f"{names[c]} ".__add__, map(cardlex_names.__getitem__, ks)))
     return "\n".join(lines) + "\n"
 

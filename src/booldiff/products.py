@@ -24,6 +24,7 @@ from .lattice import bits_of, subsets_iter, tables
 from .operators import (
     Basis,
     Digraph,
+    _cardlex_rows,
     _digraph_from_masked_rows,
     _edge_pairs,
     _matrix_rows_masked,
@@ -37,19 +38,6 @@ def _check_pair(a: Digraph, b: Digraph) -> int:
     if a.n != b.n:
         raise DimensionError(f"cannot multiply digraphs on [{a.n}] and [{b.n}]")
     return a.n
-
-
-def slices_by_second(a: Digraph) -> dict[int, set[int]]:
-    """d -> {c : (c, d) is an edge}; the column slices A_d."""
-    out: dict[int, set[int]] = {}
-    for c, d in _edge_pairs(a):
-        out.setdefault(d, set()).add(c)
-    return out
-
-
-def slices_by_first(a: Digraph) -> dict[int, set[int]]:
-    """c -> {d : (c, d) is an edge}; the row slices."""
-    return {c: set(bits_of(row)) for c, row in enumerate(a.rows) if row}
 
 
 def star_product(a: Digraph, b: Digraph) -> Digraph:
@@ -78,24 +66,33 @@ def star_decomposed(a: Digraph, b: Digraph, mode: str) -> Digraph:
     """
     n = _check_pair(a, b)
     rows = [0] * (1 << n)
+
+    def columns(g: Digraph) -> list[int]:
+        # Bit c of the column slice A_d is the edge (c, d); the row slices are g.rows.
+        cols = [0] * (1 << n)
+        for c, d in _edge_pairs(g):
+            cols[d] |= 1 << c
+        return cols
+
     if mode == "col_col":
-        for d, a_firsts in slices_by_second(a).items():
-            for e, b_firsts in slices_by_second(b).items():
+        b_cols = columns(b)
+        for d, a_col in enumerate(columns(a)):
+            for e, b_col in enumerate(b_cols):
                 col = d ^ e
-                for x in a_firsts:
-                    if x ^ d in b_firsts:
+                for x in bits_of(a_col):
+                    if b_col >> (x ^ d) & 1:
                         rows[x] ^= 1 << col
     elif mode == "col_row":
-        for d, a_firsts in slices_by_second(a).items():
-            for e, b_seconds in slices_by_first(b).items():
-                if d ^ e in a_firsts:
-                    for y in b_seconds:
+        for d, a_col in enumerate(columns(a)):
+            for e, b_row in enumerate(b.rows):
+                if a_col >> (d ^ e) & 1:
+                    for y in bits_of(b_row):
                         rows[d ^ e] ^= 1 << (y ^ d)
     elif mode == "row_row":
-        for c, a_seconds in slices_by_first(a).items():
-            for e, b_seconds in slices_by_first(b).items():
-                if c ^ e in a_seconds:
-                    for y in b_seconds:
+        for c, a_row in enumerate(a.rows):
+            for e, b_row in enumerate(b.rows):
+                if a_row >> (c ^ e) & 1:
+                    for y in bits_of(b_row):
                         rows[c] ^= 1 << (y ^ c ^ e)
     else:
         raise DomainError(f"mode must be col_col, col_row or row_row, got {mode!r}")
@@ -192,9 +189,7 @@ def digraph_label(a: Digraph) -> str:
     """Table notation: edges as card-lex index pairs, e.g. "{(0,1),(1,0)}"."""
     if not any(a.rows):
         return "0"
-    t = tables(a.n)
-    pairs = sorted((t.index[c], t.index[d]) for c, d in _edge_pairs(a))
-    return "{" + ",".join(f"({i},{j})" for i, j in pairs) + "}"
+    return "{" + ",".join(f"({i},{j})" for i, _, js in _cardlex_rows(a) for j in js) + "}"
 
 
 def enumerate_all_digraphs(n: int) -> list[Digraph]:

@@ -15,6 +15,7 @@ from booldiff import (
     BooleanFunction,
     Digraph,
     Gf2Matrix,
+    elements,
     index_of,
     m_basis,
     subset_of,
@@ -32,6 +33,11 @@ def naive_subset_sum(values: int, n: int, direction: str) -> int:
                 acc ^= values >> c & 1
         out |= acc << d
     return out
+
+
+def cardlex_order(n: int) -> list[int]:
+    """The masks of P[n] in card-lex order, by its definition: sort by size, then by elements."""
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), elements(m)))
 
 
 def naive_rank(rows: list[list[int]]) -> int:

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
-from booldiff import Basis, Digraph, apply_operator, m_basis
+from booldiff import Basis, BooleanFunction, Digraph, apply_operator, m_basis
 from booldiff import lattice
-from booldiff.functions import _from_packed, _packed, derivative_packed
+from booldiff.functions import derivative_packed
 from booldiff.lattice import bits_of
 from booldiff.operators import _apply_masked, _apply_per_edge, _apply_route, _edge_pairs
 from booldiff.products import matrix_route_product
@@ -43,7 +43,7 @@ def _operands(rng: random.Random, n: int) -> dict[str, Digraph]:
 
 
 def _applied(route, a: Digraph, basis: Basis, f):
-    return _from_packed(a.n, route(a, basis, _packed(f)))
+    return BooleanFunction(a.n, route(a, basis, f.values))
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=lambda r: r.__name__)
@@ -77,9 +77,9 @@ def test_factored_derivative_matches_iterated_differences() -> None:
     rng = random.Random(0xA003)
     for n in range(7):
         f = random_function(rng, n)
-        u = _packed(f)
+        u = f.values
         for d in range(1 << n):
-            assert _from_packed(n, derivative_packed(u, d, n)) == iterated_difference(f, d)
+            assert BooleanFunction(n, derivative_packed(u, d, n)) == iterated_difference(f, d)
 
 
 def test_edge_pairs_match_the_bit_definition() -> None:
@@ -142,7 +142,7 @@ def test_validation_calls_do_not_grow_with_the_operand(basis: Basis, validate_su
         call()
         return validate_subset_calls[0] - before
 
-    u = _packed(f)
+    u = f.values
     # The public wrappers validate d once, so the patch is live where they bind it.
     assert count(lambda: derivative_packed(u, 5, n)) == 1
     assert count(lambda: lattice.shift_packed(u, 5, n)) == 1

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import booldiff
 from booldiff.cli import main
 
 FIG4_A = """4
@@ -219,10 +221,15 @@ def test_unknown_basis_is_a_usage_error(tmp_path) -> None:
 
 
 def test_module_entry_point_runs() -> None:
+    # The child imports the booldiff under test, whether pytest found it
+    # through PYTHONPATH, its pythonpath setting or an install.
+    package_root = str(Path(booldiff.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "booldiff", "jordan", "-n", "1", "--basis", "ms"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout == "m^{}s^{1} + 1\n"

@@ -49,6 +49,26 @@ def test_truth_length_is_validated() -> None:
         BooleanFunction.from_truth(2, [0, 1])
 
 
+@pytest.mark.parametrize("values", [-1, 1 << 4, 1 << 5, "0110"])
+def test_values_must_be_a_packed_map(values) -> None:
+    with pytest.raises(DomainError):
+        BooleanFunction(2, values)
+
+
+def test_truth_round_trips_through_from_truth() -> None:
+    rng = random.Random(0xD00F)
+    for n in range(8):
+        bits = [rng.randrange(2) for _ in range(1 << n)]
+        f = BooleanFunction.from_truth(n, bits)
+        assert [f.truth.bit(k) for k in range(1 << n)] == bits
+        assert BooleanFunction.from_truth(n, [f.truth.bit(k) for k in range(1 << n)]) == f
+
+
+def test_values_are_mask_packed() -> None:
+    f = BooleanFunction.from_truth(2, [0, 1, 0, 1])
+    assert f.values == 1 << mask_of([1]) | 1 << mask_of([1, 2])
+
+
 def test_m_basis_is_a_point_mass() -> None:
     for n in range(4):
         for a in range(1 << n):

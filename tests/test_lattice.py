@@ -34,7 +34,7 @@ from booldiff.lattice import (
     validate_subset,
 )
 
-from helpers import naive_subset_sum
+from helpers import cardlex_order, naive_subset_sum
 
 
 def test_mask_and_elements_round_trip() -> None:
@@ -88,6 +88,30 @@ def test_card_lex_order_small_n() -> None:
         ]
     ]
     assert order == expected
+
+
+def test_card_lex_order_matches_its_definition() -> None:
+    for n in range(11):
+        assert list(tables(n).order) == cardlex_order(n), n
+
+
+def test_bit_permutation_moves_each_single_bit() -> None:
+    # Both directions are linear over GF(2), so single bits decide them.
+    for n in range(9):
+        t = tables(n)
+        for m in range(t.size):
+            k = index_of(m, n)
+            assert t.to_cardlex(1 << m) == 1 << k, (n, m)
+            assert t.to_mask(1 << k) == 1 << m, (n, m)
+
+
+def test_bit_permutation_round_trips() -> None:
+    rng = random.Random(0x1A77)
+    for n in range(11):
+        t = tables(n)
+        for v in [0, (1 << t.size) - 1] + [rng.getrandbits(t.size) for _ in range(20)]:
+            assert t.to_mask(t.to_cardlex(v)) == v, n
+            assert t.to_cardlex(t.to_mask(v)) == v, n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
